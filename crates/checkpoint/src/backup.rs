@@ -482,12 +482,12 @@ pub struct BackupSet {
     pub seq: u64,
     /// Structure type of the checkpointed store.
     pub state_type: StateType,
-    /// Cell-level vector timestamp at snapshot time (pointwise minimum
-    /// across stripes; the safe watermark for trimming and replay).
+    /// Cell-level vector timestamp at snapshot time (per-lane maximum
+    /// across stripes, see `cell::lane_max`; the exact watermark
+    /// for trimming and replay).
     pub vector: VectorTs,
     /// Exact per-stripe vectors at snapshot time. Restore re-creates each
-    /// stripe with its own vector so replayed items are deduplicated
-    /// precisely (a merged vector would either double-apply or drop items).
+    /// stripe with its own vector, as it was at the cut.
     pub stripe_vectors: Vec<VectorTs>,
     /// For each written chunk: the index of the store holding it, and its
     /// key (whose `chunk` field is the chunk id).

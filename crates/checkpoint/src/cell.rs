@@ -17,9 +17,14 @@
 //! key. Items of one lane arrive in timestamp order, so each stripe
 //! observes an increasing subsequence and `is_duplicate` stays exact. The
 //! cell-level vector used for checkpoint metadata and buffer trimming is
-//! the **pointwise minimum** across stripes: a timestamp is safely trimmed
-//! only once every stripe that could own one of the lane's keys has
-//! progressed past it.
+//! the **per-lane maximum** across stripes (`lane_max`). That is exact,
+//! not optimistic: each lane into an instance has one FIFO consumer that
+//! applies an item whole under its stripe's lock, so when every stripe is
+//! locked (the checkpoint cut) the lane's newest applied timestamp covers
+//! all of its older items, whichever stripes they went to. A minimum would
+//! be pinned at 0 by any stripe that never saw the lane, and with the
+//! partitioner and the stripes hashing the same key most stripes of a
+//! partition never do.
 
 use parking_lot::Mutex;
 use sdg_common::error::SdgResult;
@@ -238,18 +243,10 @@ impl StateCell {
         Some(r)
     }
 
-    /// Returns the cell-level vector timestamp: the pointwise minimum
-    /// across stripes (safe for trimming and replay decisions).
+    /// Returns the cell-level vector timestamp: the per-lane maximum
+    /// across stripes (see `lane_max`), taken under every stripe lock.
     pub fn vector(&self) -> VectorTs {
-        if self.stripes.len() == 1 {
-            return self.stripes[0].lock().vector.clone();
-        }
-        let vectors: Vec<VectorTs> = self
-            .stripes
-            .iter()
-            .map(|s| s.lock().vector.clone())
-            .collect();
-        VectorTs::pointwise_min(&vectors)
+        self.with_all(|inners| lane_max(inners.iter().map(|i| &i.vector)))
     }
 
     /// Returns every stripe's vector (checkpoint metadata).
@@ -403,6 +400,21 @@ impl StateCell {
     }
 }
 
+/// The cell-level vector of a cut over `stripe_vectors`: each lane's
+/// newest applied timestamp on any stripe.
+///
+/// Exact for trimming and replay, provided the vectors were read under
+/// every stripe lock at once: a lane's items reach the instance in
+/// timestamp order through one FIFO consumer, so every older item of the
+/// lane was applied (on whichever stripe owns its key) before the newest.
+pub(crate) fn lane_max<'a>(stripe_vectors: impl IntoIterator<Item = &'a VectorTs>) -> VectorTs {
+    let mut out = VectorTs::new();
+    for v in stripe_vectors {
+        out.merge_max(v);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,26 +487,72 @@ mod tests {
         assert_eq!(total, 40);
     }
 
-    #[test]
-    fn cell_vector_is_pointwise_min_of_stripes() {
-        let cell = StateCell::new_striped(StateType::Table, 2, PartitionDim::Row, None);
-        // Find keys for each stripe.
-        let mut key_for = [None, None];
-        for i in 0..100i64 {
-            let stripe = (Key::Int(i).stable_hash() % 2) as usize;
-            if key_for[stripe].is_none() {
-                key_for[stripe] = Some(i);
-            }
+    /// A lane's items in order: `(ts, key, value)`, written through the
+    /// key's stripe.
+    fn apply_lane(cell: &StateCell, items: &[(u64, i64, i64)]) {
+        for &(ts, k, v) in items {
+            let key = Key::Int(k);
+            cell.apply_routed(EdgeId(7), ts, Some(key.stable_hash()), |s| {
+                let t = s.as_table().unwrap();
+                let old = t.get(&key).map_or(0, |x| x.as_int().unwrap());
+                t.put(key.clone(), Value::Int(old + v));
+            });
         }
-        let (k0, k1) = (key_for[0].unwrap(), key_for[1].unwrap());
-        // Stripe 0 saw ts 10, stripe 1 only ts 4: the cell-level watermark
-        // must be 4 so replay re-delivers 5..=10 (stripe 0 will dedupe).
-        cell.apply_routed(EdgeId(7), 4, Some(Key::Int(k1).stable_hash()), |_| ());
-        cell.apply_routed(EdgeId(7), 10, Some(Key::Int(k0).stable_hash()), |_| ());
-        assert_eq!(cell.vector().get(EdgeId(7)), 4);
-        let vs = cell.stripe_vectors();
-        assert_eq!(vs.len(), 2);
-        assert_eq!(vs[0].get(EdgeId(7)).max(vs[1].get(EdgeId(7))), 10);
+    }
+
+    #[test]
+    fn trimming_at_the_lane_max_replays_exactly_once() {
+        // The first half of one lane's stream only reaches stripes 0..4 of
+        // 8; a pointwise-min vector would stay 0 and trim nothing.
+        let stripe = |k: i64| Key::Int(k).stable_hash() % 8;
+        let stream: Vec<(u64, i64, i64)> = (0i64..)
+            .filter(|k| stripe(*k) < 4)
+            .take(12)
+            .chain(1000..1020)
+            .enumerate()
+            .map(|(i, k)| (i as u64 + 1, k, k + 1))
+            .collect();
+        let live = StateCell::new_striped(StateType::Table, 8, PartitionDim::Row, None);
+        let (before, after) = stream.split_at(12);
+        apply_lane(&live, before);
+        // The checkpoint cut: per-stripe vectors and state under every
+        // lock, and the cell vector the upstream buffer is trimmed at.
+        let (stripe_vectors, merged) = live.with_all(|inners| {
+            let vs: Vec<VectorTs> = inners.iter().map(|i| i.vector.clone()).collect();
+            let mut store = StateStore::new(StateType::Table);
+            for i in inners.iter_mut() {
+                store.import_entries(&i.store.export_entries()).unwrap();
+            }
+            (vs, store)
+        });
+        assert!(stripe_vectors.iter().any(|v| v.get(EdgeId(7)) == 0));
+        let wm = live.vector().get(EdgeId(7));
+        assert_eq!(wm, 12, "the trim point is the newest applied item");
+        assert_eq!(lane_max(&stripe_vectors).get(EdgeId(7)), wm);
+        apply_lane(&live, after);
+
+        // Fail: restore the cut into a fresh cell and replay what the
+        // trimmed buffer still holds (everything after the watermark).
+        let parts = merged.split_by_hash(8, PartitionDim::Row).unwrap();
+        let restored = StateCell::from_parts(
+            parts.into_iter().zip(stripe_vectors).collect(),
+            PartitionDim::Row,
+            None,
+        );
+        let buffered: Vec<_> = stream.iter().copied().filter(|i| i.0 > wm).collect();
+        assert_eq!(buffered, after, "nothing at or below the watermark is kept");
+        // Replay again to check the re-delivery is filtered, not reapplied.
+        apply_lane(&restored, &buffered);
+        apply_lane(&restored, &buffered);
+        assert_eq!(restored.vector(), live.vector());
+        assert_eq!(restored.export_merged().0.len(), stream.len());
+        for (_, k, v) in &stream {
+            let key = Key::Int(*k);
+            let got = restored.with_routed(Some(key.stable_hash()), |i| {
+                i.store.as_table().unwrap().get(&key)
+            });
+            assert_eq!(got, Some(Value::Int(*v)), "key {k} applied exactly once");
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use sdg_state::store::StateSnapshot;
 
 use crate::backup::{encode_entries, BackupSet, BackupStore, ChunkKey, DeltaMeta};
 use crate::buffer::BufferedItem;
-use crate::cell::StateCell;
+use crate::cell::{lane_max, StateCell};
 use crate::config::CheckpointConfig;
 
 /// Per-checkpoint policy knobs.
@@ -221,7 +221,7 @@ fn take_checkpoint_inner(
     }
     let state_type = cut.snapshots[0].0.state_type();
     let stripe_vectors: Vec<VectorTs> = cut.snapshots.iter().map(|(_, v)| v.clone()).collect();
-    let vector = min_vector(&stripe_vectors);
+    let vector = lane_max(&stripe_vectors);
 
     // Steps 2–4 run off the processing path. Captured output buffers are
     // sealed here too: the dispatch path only parked refcounted records
@@ -277,15 +277,6 @@ fn take_checkpoint_inner(
         state_bytes,
         delta,
     })
-}
-
-/// Cell-level vector: pointwise minimum across stripes.
-fn min_vector(stripe_vectors: &[VectorTs]) -> VectorTs {
-    if stripe_vectors.len() == 1 {
-        stripe_vectors[0].clone()
-    } else {
-        VectorTs::pointwise_min(stripe_vectors)
-    }
 }
 
 /// Encodes the cut into `(chunk_id, entries)` payloads plus the generation
@@ -367,7 +358,7 @@ fn take_sync(
     // captures are sealed inside the stop-the-world span.
     cell.with_all(|inners| {
         let stripe_vectors: Vec<VectorTs> = inners.iter().map(|i| i.vector.clone()).collect();
-        let vector = min_vector(&stripe_vectors);
+        let vector = lane_max(&stripe_vectors);
         let mut out_buffers = capture_outputs();
         let sealed = seal_out_buffers(&mut out_buffers, cfg.serialise_threads);
         if let Some(obs) = obs {
@@ -767,17 +758,10 @@ mod tests {
         assert_eq!(meta.chunk_space, 16);
         assert_eq!(set.chunk_locations.len(), 16);
         assert_eq!(set.stripe_vectors.len(), 4);
-        // The cell-level vector is the pointwise min across stripes: it
-        // trails the newest item (200) but matches the cell's own view.
+        // The cell-level vector is the per-lane max across stripes: the
+        // newest item (200), matching the cell's own view.
         assert_eq!(set.vector, cell.vector());
-        let newest = set
-            .stripe_vectors
-            .iter()
-            .map(|v| v.get(EdgeId(0)))
-            .max()
-            .unwrap();
-        assert_eq!(newest, 200);
-        assert!(set.vector.get(EdgeId(0)) <= 200);
+        assert_eq!(set.vector.get(EdgeId(0)), 200);
     }
 
     #[test]

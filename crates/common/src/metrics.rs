@@ -10,6 +10,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A monotonically increasing atomic counter.
+///
+/// Increments release and reads acquire, so counters bumped in a fixed
+/// order can be read consistently: a reader that loads the later-bumped
+/// counter first never sees it ahead of the earlier one.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -21,7 +25,7 @@ impl Counter {
 
     /// Adds `n` to the counter.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Release);
     }
 
     /// Increments the counter by one.
@@ -31,7 +35,7 @@ impl Counter {
 
     /// Returns the current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.load(Ordering::Acquire)
     }
 }
 

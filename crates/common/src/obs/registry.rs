@@ -361,19 +361,29 @@ impl MetricsRegistry {
             .tasks
             .read()
             .values()
-            .map(|t| TaskStats {
-                name: t.name.clone(),
-                id: t.id,
-                instances: t.instances.get(),
-                items_in: t.items_in.get(),
-                items_out: t.items_out.get(),
-                emits: t.emits.get(),
-                processed: t.processed.get(),
-                errors: t.errors.get(),
-                gather_waits: t.gather_waits.get(),
-                queue_depth: t.queue_depth.get(),
-                service: t.service.summary(),
-                latency: t.latency.summary(),
+            .map(|t| {
+                // Workers bump `items_in` before everything downstream of
+                // it, so read downstream first (acquire loads): the
+                // snapshot then never shows `processed > items_in`.
+                let processed = t.processed.get();
+                let emits = t.emits.get();
+                let items_out = t.items_out.get();
+                let errors = t.errors.get();
+                let gather_waits = t.gather_waits.get();
+                TaskStats {
+                    name: t.name.clone(),
+                    id: t.id,
+                    instances: t.instances.get(),
+                    items_in: t.items_in.get(),
+                    items_out,
+                    emits,
+                    processed,
+                    errors,
+                    gather_waits,
+                    queue_depth: t.queue_depth.get(),
+                    service: t.service.summary(),
+                    latency: t.latency.summary(),
+                }
             })
             .collect();
         let states: Vec<StateStats> = self

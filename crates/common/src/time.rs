@@ -95,27 +95,6 @@ impl VectorTs {
         }
     }
 
-    /// Returns the per-edge minimum across `vectors`.
-    ///
-    /// An upstream buffer for an edge can be trimmed below the minimum
-    /// checkpointed watermark across **all** downstream consumers.
-    pub fn pointwise_min<'a>(vectors: impl IntoIterator<Item = &'a VectorTs>) -> VectorTs {
-        let mut iter = vectors.into_iter();
-        let Some(first) = iter.next() else {
-            return VectorTs::new();
-        };
-        let mut out = first.clone();
-        for v in iter {
-            // Edges missing from `v` have watermark 0, so they clamp to 0.
-            out.entries.retain(|edge, ts| {
-                let other = v.get(*edge);
-                *ts = (*ts).min(other);
-                *ts > 0
-            });
-        }
-        out
-    }
-
     /// Returns `true` if every entry of `self` is ≥ the matching entry of
     /// `other`.
     pub fn dominates(&self, other: &VectorTs) -> bool {
@@ -202,21 +181,6 @@ mod tests {
         assert_eq!(a.get(EdgeId(1)), 5);
         assert_eq!(a.get(EdgeId(2)), 1);
         assert_eq!(a.get(EdgeId(3)), 9);
-    }
-
-    #[test]
-    fn pointwise_min_drives_buffer_trimming() {
-        let mut a = VectorTs::new();
-        a.observe(EdgeId(1), 5);
-        a.observe(EdgeId(2), 8);
-        let mut b = VectorTs::new();
-        b.observe(EdgeId(1), 3);
-        // Edge 2 missing from `b` means b has applied nothing from it.
-        let min = VectorTs::pointwise_min([&a, &b]);
-        assert_eq!(min.get(EdgeId(1)), 3);
-        assert_eq!(min.get(EdgeId(2)), 0);
-        let empty: [&VectorTs; 0] = [];
-        assert_eq!(VectorTs::pointwise_min(empty), VectorTs::new());
     }
 
     #[test]

@@ -220,24 +220,30 @@ impl ExecEngine {
 pub enum SchedulerMode {
     /// One dedicated OS thread per TE instance. The reference
     /// implementation: simple, but deployment cost and context-switch
-    /// pressure grow linearly with replica count. The default.
-    #[default]
+    /// pressure grow linearly with replica count.
     Threads,
     /// Work-stealing cooperative executor: every TE instance becomes an
     /// actor with a serial mailbox, multiplexed onto
     /// [`RuntimeConfig::sched_threads`] pool workers (see
     /// [`crate::sched`]). Ordering and dedupe semantics are identical to
-    /// [`SchedulerMode::Threads`].
+    /// [`SchedulerMode::Threads`]; modelled service time suspends the
+    /// actor on a timer instead of holding a pool worker. The default.
+    #[default]
     Pool,
 }
 
 impl SchedulerMode {
     /// Reads `SDG_SCHED` (`threads` | `pool`, case-insensitive); unset or
-    /// unrecognised values fall back to [`SchedulerMode::Threads`].
+    /// unrecognised values fall back to [`SchedulerMode::Pool`].
     pub fn from_env() -> Self {
-        match std::env::var("SDG_SCHED") {
-            Ok(v) if v.eq_ignore_ascii_case("pool") => SchedulerMode::Pool,
-            _ => SchedulerMode::Threads,
+        Self::resolve(std::env::var("SDG_SCHED").ok().as_deref())
+    }
+
+    /// Resolves an `SDG_SCHED` value (`None` when unset).
+    fn resolve(var: Option<&str>) -> Self {
+        match var {
+            Some(v) if v.eq_ignore_ascii_case("threads") => SchedulerMode::Threads,
+            _ => SchedulerMode::Pool,
         }
     }
 }
@@ -310,8 +316,8 @@ pub struct RuntimeConfig {
     /// slot-compiled engine, overridable per process with
     /// `SDG_ENGINE=reference`.
     pub engine: ExecEngine,
-    /// Which scheduler hosts TE instances. Defaults to thread-per-replica,
-    /// overridable per process with `SDG_SCHED=pool`.
+    /// Which scheduler hosts TE instances. Defaults to the work-stealing
+    /// pool, overridable per process with `SDG_SCHED=threads`.
     pub scheduler: SchedulerMode,
     /// Pool workers when `scheduler` is [`SchedulerMode::Pool`]; ignored
     /// under [`SchedulerMode::Threads`].
@@ -677,6 +683,32 @@ mod tests {
             .build();
         cfg.validate().unwrap();
         assert_eq!(cfg.scaling.idle_patience, 2);
+    }
+
+    #[test]
+    fn scheduler_defaults_to_the_pool() {
+        assert_eq!(SchedulerMode::default(), SchedulerMode::Pool);
+        assert_eq!(SchedulerMode::resolve(None), SchedulerMode::Pool);
+        assert_eq!(SchedulerMode::resolve(Some("pool")), SchedulerMode::Pool);
+        assert_eq!(SchedulerMode::resolve(Some("bogus")), SchedulerMode::Pool);
+        assert_eq!(
+            SchedulerMode::resolve(Some("threads")),
+            SchedulerMode::Threads
+        );
+        assert_eq!(
+            SchedulerMode::resolve(Some("THREADS")),
+            SchedulerMode::Threads
+        );
+        // The default config follows the environment: the pool when
+        // `SDG_SCHED` is unset, the reference path under
+        // `SDG_SCHED=threads`.
+        assert_eq!(
+            RuntimeConfig::default().scheduler,
+            SchedulerMode::from_env()
+        );
+        if std::env::var_os("SDG_SCHED").is_none() {
+            assert_eq!(RuntimeConfig::default().scheduler, SchedulerMode::Pool);
+        }
     }
 
     #[test]

@@ -153,6 +153,11 @@ pub(crate) struct Inner {
     /// Checkpoint chains per SE instance: a base generation followed by the
     /// deltas taken since it. Restore composes the whole chain.
     backups: Mutex<HashMap<(StateId, u32), Vec<BackupSet>>>,
+    /// Serialises each SE instance's checkpoint (take, trim, record)
+    /// against failure recovery. A checkpoint of the failed cell finishing
+    /// mid-recovery would otherwise trim upstream buffers the recovery is
+    /// about to replay.
+    checkpoint_or_recover: Mutex<()>,
     /// SE instances whose next checkpoint must be a full (non-delta) take:
     /// a reconfiguration migrated state into them, so a delta on top of the
     /// pre-migration chain would restore the old key ownership.
@@ -186,15 +191,15 @@ impl IngestHandle {
     /// Submits a request through this handle's lane; blocks on
     /// backpressure. Returns the correlation id.
     pub fn submit(&mut self, entry: &str, payload: Record) -> SdgResult<u64> {
-        let task = self.inner.find_entry(entry)?.clone();
+        let task = self.inner.find_entry(entry)?;
         let corr = self.inner.corr.fetch_add(1, Ordering::Relaxed);
         let (ts_gen, rr) = self
             .lanes
             .entry(task.id)
             .or_insert((TsGen::new(), self.src as usize));
         let ts = ts_gen.tick();
-        let inner = Arc::clone(&self.inner);
-        inner.ingest_dispatch(&task, &payload, corr, self.src, ts, rr)?;
+        self.inner
+            .ingest_dispatch(task, payload, corr, self.src, ts, rr)?;
         Ok(corr)
     }
 }
@@ -295,6 +300,7 @@ impl Deployment {
             stores,
             backup_seq: AtomicU64::new(1),
             backups: Mutex::new(HashMap::new()),
+            checkpoint_or_recover: Mutex::new(()),
             force_full: Mutex::new(HashSet::new()),
             events: Mutex::new(Vec::new()),
             in_flight: Arc::new(AtomicU64::new(0)),
@@ -751,6 +757,7 @@ impl Inner {
             dedupe: true,
             in_flight: Arc::clone(&self.in_flight),
             work_debt: Duration::ZERO,
+            resume_at: None,
             task: task_id,
             heartbeat,
             // A respawned replica shares the original (spent) trigger, so
@@ -839,7 +846,7 @@ impl Inner {
     fn ingest_dispatch(
         &self,
         task: &sdg_graph::model::TaskDecl,
-        payload: &Record,
+        payload: Record,
         corr: u64,
         src: u32,
         ts: sdg_common::time::ScalarTs,
@@ -856,12 +863,13 @@ impl Inner {
         }
         // Broadcast ingestion for global-access entries, keyed dispatch for
         // partitioned ones, shortest-queue otherwise.
-        let idxs: Vec<usize> = match task.access.as_ref().map(|a| &a.mode) {
+        let idxs: std::ops::Range<usize> = match task.access.as_ref().map(|a| &a.mode) {
             Some(AccessMode::Partitioned { key, .. }) => {
                 let k = payload.require(key)?.to_key()?;
-                vec![(k.stable_hash() % n as u64) as usize]
+                let idx = (k.stable_hash() % n as u64) as usize;
+                idx..idx + 1
             }
-            Some(AccessMode::PartialGlobal) => (0..n).collect(),
+            Some(AccessMode::PartialGlobal) => 0..n,
             _ => {
                 let start = *rr % n;
                 *rr = rr.wrapping_add(1);
@@ -878,14 +886,14 @@ impl Inner {
                         break;
                     }
                 }
-                vec![idx]
+                idx..idx + 1
             }
         };
         let expect = idxs.len() as u32;
         let submitted_at = Some(Instant::now());
         // One refcounted allocation shared across every broadcast target
         // and the output-buffer log — fan-out is a refcount bump.
-        let shared = Arc::new(payload.clone());
+        let shared = Arc::new(payload);
         for idx in idxs {
             let item = Item {
                 edge,
@@ -931,7 +939,7 @@ impl Inner {
             lane_state.rr = lane_state.rr.wrapping_add(1);
             (ts, lane_state.rr)
         };
-        self.ingest_dispatch(task, &payload, corr, 0, ts, &mut rr)?;
+        self.ingest_dispatch(task, payload, corr, 0, ts, &mut rr)?;
         Ok(corr)
     }
 
@@ -963,14 +971,25 @@ impl Inner {
     }
 
     pub(crate) fn checkpoint_all(&self) -> SdgResult<()> {
-        let snapshot: Vec<(StateId, Vec<Arc<StateCell>>)> = self
+        let snapshot: Vec<(StateId, usize)> = self
             .cells
             .read()
             .iter()
-            .map(|(&s, v)| (s, v.clone()))
+            .map(|(&s, v)| (s, v.len()))
             .collect();
-        for (state, group) in snapshot {
-            for (replica, cell) in group.iter().enumerate() {
+        for (state, replicas) in snapshot {
+            for replica in 0..replicas {
+                let _serial = self.checkpoint_or_recover.lock();
+                // Read the cell under the lock: a recovery that ran while
+                // we waited replaced it.
+                let Some(cell) = self
+                    .cells
+                    .read()
+                    .get(&state)
+                    .and_then(|g| g.get(replica).cloned())
+                else {
+                    continue;
+                };
                 let seq = self.backup_seq.fetch_add(1, Ordering::Relaxed);
                 let label = self.se_label(state, replica as u32);
                 // A reconfiguration migrated state into this cell since the
@@ -996,7 +1015,7 @@ impl Inner {
                     seq,
                 });
                 let set = take_checkpoint_with(
-                    cell,
+                    &cell,
                     se_instance_id(state, replica as u32),
                     seq,
                     || self.capture_outputs_for(state, replica as u32),
@@ -1119,6 +1138,7 @@ impl Inner {
         replica: u32,
     ) -> SdgResult<RecoveryReport> {
         let t0 = Instant::now();
+        let _serial = self.checkpoint_or_recover.lock();
         let label = self.se_label(state, replica);
         self.obs.record_event(EventKind::FailureInjected {
             instance: label.clone(),
@@ -1213,8 +1233,8 @@ impl Inner {
         // Re-split into stripes with the exact per-stripe vectors recorded
         // at checkpoint time (split_by_hash and stripe routing use the same
         // key hash, so stripe i gets back exactly the keys — and watermarks
-        // — it owned). Falling back to the merged (min) vector is safe but
-        // replays more.
+        // — it owned). Falling back to the merged (lane-max) vector is
+        // exact too: replay only re-sends items past it.
         let new_cell = if stripes > 1 && stripe_vectors.len() == stripes {
             let parts = store.split_by_hash(stripes, dim)?;
             Arc::new(StateCell::from_parts(

@@ -21,8 +21,9 @@
 //! - a **work-stealing cooperative scheduler** ([`sched`]): every TE
 //!   instance becomes an actor with a serial mailbox multiplexed onto a
 //!   fixed pool of workers, so replica counts can exceed core counts
-//!   without one OS thread each (select with [`config::SchedulerMode::Pool`]
-//!   or `SDG_SCHED=pool`; thread-per-replica remains the reference);
+//!   without one OS thread each. It is the default; thread-per-replica
+//!   remains the reference ([`config::SchedulerMode::Threads`] or
+//!   `SDG_SCHED=threads`);
 //! - **edge micro-batching** ([`config::BatchConfig`]): producers coalesce
 //!   items per (edge, destination) and flush on a size bound, linger
 //!   timeout, or shutdown, amortising channel and output-buffer locking;

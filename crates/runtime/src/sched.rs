@@ -1,12 +1,13 @@
-//! The `Pool` scheduler: a work-stealing cooperative executor running
-//! every TE instance as an *actor*.
+//! The `Pool` scheduler, the default: a work-stealing cooperative executor
+//! running every TE instance as an *actor*.
 //!
 //! The reference `Threads` scheduler spends one OS thread per TE replica;
 //! at the replica counts the reconfiguration plane can reach, deployment
-//! cost and context-switch pressure grow linearly with instances. This
-//! module multiplexes instances onto a fixed pool instead
-//! (`RuntimeConfig::sched_threads` workers, selected via
-//! `RuntimeConfig::scheduler` or `SDG_SCHED=pool`):
+//! cost and context-switch pressure grow linearly with instances, and every
+//! ingest hands an item to another thread. This module multiplexes
+//! instances onto a fixed pool instead (`RuntimeConfig::sched_threads`
+//! workers; `SDG_SCHED=threads` or `RuntimeConfig::scheduler` selects the
+//! reference path):
 //!
 //! - **Serial mailboxes.** Each instance is an actor: a FIFO mailbox plus
 //!   the instance's [`Worker`]. At most one pool worker runs an actor at a
@@ -23,8 +24,11 @@
 //!   blocks the pool thread: the message is pushed unconditionally and, if
 //!   the destination is at capacity, the *producer actor* suspends after
 //!   its slice, registering itself as a waiter on each over-full mailbox.
-//!   The pop that takes a mailbox back under capacity reschedules its
-//!   waiters. Suspension only ever propagates upstream (consumers never
+//!   The pop that drains a mailbox to its low-water mark (a sixteenth of
+//!   the capacity below full) reschedules its waiters and wakes blocked
+//!   external senders, so a producer that outruns its consumer wakes once
+//!   per batch of items, not once per item.
+//!   Suspension only ever propagates upstream (consumers never
 //!   wait on producers), so on a DAG the sinks always drain and, by
 //!   induction over reverse topological order, every suspended actor is
 //!   eventually resumed — no deadlock. External threads (ingest, control
@@ -33,6 +37,12 @@
 //!   `recv_timeout` waits to one shared min-heap; pool workers fire due
 //!   entries between slices and bound their park time by the earliest
 //!   deadline.
+//! - **Service time as a suspension.** Modelled per-item service time
+//!   (`RuntimeConfig::work_ns`) is charged to [`Worker::resume_at`]. A
+//!   dedicated thread sleeps it out; an actor instead ends its slice and
+//!   parks `Sleeping` on the timer heap, so N sleeping replicas overlap
+//!   like N machines without holding N pool workers. Pushes queue behind
+//!   the deadline without scheduling it; only its timer wakes the actor.
 //!
 //! Shutdown and disconnect mirror the thread-per-instance semantics:
 //! `Stop` flushes pending batches and retires the actor; dropping the last
@@ -74,6 +84,9 @@ enum RunState {
     Running,
     /// Waiting for credit on one or more full downstream mailboxes.
     Suspended,
+    /// Serving modelled service time until the given instant. Pushes queue
+    /// without scheduling; only the actor's timer makes it runnable.
+    Sleeping(Instant),
 }
 
 /// Everything guarded by the mailbox lock.
@@ -89,6 +102,8 @@ struct MailboxInner {
     disconnected: bool,
     /// Producer actors suspended on this mailbox's credit.
     waiters: Vec<Arc<Actor>>,
+    /// External senders blocked on `not_full`.
+    blocked: usize,
 }
 
 /// One TE instance scheduled on the pool: a serial mailbox plus the
@@ -212,7 +227,9 @@ impl Actor {
         let mut mb = self.mb.lock().expect("mailbox lock");
         if !in_ctx && !force {
             while !mb.closed && mb.queue.len() >= self.cap {
+                mb.blocked += 1;
                 mb = self.not_full.wait(mb).expect("mailbox lock");
+                mb.blocked -= 1;
             }
         }
         if mb.closed {
@@ -245,18 +262,31 @@ impl Actor {
         Ok(())
     }
 
+    /// Queue length at which a draining mailbox hands credit back to
+    /// blocked senders and suspended producers: a sixteenth of the
+    /// capacity below full (at least one slot). Handing it back at every
+    /// pop below capacity costs a producer that outruns its consumer one
+    /// wake-up per item; handing it back much lower makes that producer's
+    /// sends bursty, which delays whatever else it feeds.
+    fn low_water(&self) -> usize {
+        self.cap - (self.cap / 16).max(1)
+    }
+
     /// Pops one message. Returns the message, the waiters to resume when
-    /// the pop crossed back under capacity, and the disconnect flag.
+    /// the pop drained the mailbox to its low-water mark, and the
+    /// disconnect flag.
     fn pop(&self) -> (Option<WorkerMsg>, Vec<Arc<Actor>>, bool) {
         let mut mb = self.mb.lock().expect("mailbox lock");
         let msg = mb.queue.pop_front();
         let mut waiters = Vec::new();
         let mut notify = false;
-        if msg.is_some() && mb.queue.len() + 1 == self.cap {
-            // Crossed from at-capacity to under-capacity: hand the credit
-            // to suspended producers and blocked external senders.
+        if msg.is_some() && mb.queue.len() == self.low_water() {
+            // Drained to the low-water mark: hand the credit to suspended
+            // producers and blocked external senders. Everyone waiting saw
+            // the mailbox full, and pops shrink it one at a time, so every
+            // wait passes this point.
             waiters = std::mem::take(&mut mb.waiters);
-            notify = true;
+            notify = mb.blocked > 0;
         }
         let disconnected = mb.disconnected;
         drop(mb);
@@ -274,7 +304,7 @@ struct IdleState {
     parked: usize,
 }
 
-/// A linger deadline for one actor, ordered by `(deadline, seq)`.
+/// A linger or wake-up deadline for one actor, ordered by `(deadline, seq)`.
 struct TimerEntry {
     at: Instant,
     seq: u64,
@@ -298,7 +328,7 @@ impl Ord for TimerEntry {
     }
 }
 
-/// The shared linger-deadline min-heap.
+/// The shared deadline min-heap.
 struct TimerHeap {
     heap: BinaryHeap<Reverse<TimerEntry>>,
     seq: u64,
@@ -365,7 +395,7 @@ impl PoolShared {
         }
     }
 
-    /// Registers a linger deadline for `actor`.
+    /// Registers a deadline for `actor`.
     fn register_timer(&self, at: Instant, actor: Arc<Actor>) {
         {
             let mut t = self.timers.lock().expect("timer lock");
@@ -382,9 +412,9 @@ impl PoolShared {
         }
     }
 
-    /// Schedules every idle actor whose deadline passed; returns the count.
-    fn fire_due_timers(&self, me: usize) -> usize {
-        let now = Instant::now();
+    /// Schedules every idle actor whose deadline passed by `now`, and every
+    /// sleeping actor whose service time ended; returns the count.
+    fn fire_due_timers(&self, me: usize, now: Instant) -> usize {
         let mut fired = 0;
         loop {
             let actor = {
@@ -399,8 +429,15 @@ impl PoolShared {
                 // Scheduled/Running actors flush expired batches on their
                 // own; a suspended actor flushes when its credit arrives
                 // (flushing from here would push into the very mailboxes
-                // it is waiting on).
-                if !mb.closed && mb.state == RunState::Idle {
+                // it is waiting on). A sleeping actor wakes only once its
+                // own deadline passed: an older linger entry must not cut
+                // its service time short.
+                let due = match mb.state {
+                    RunState::Idle => true,
+                    RunState::Sleeping(until) => until <= now,
+                    _ => false,
+                };
+                if !mb.closed && due {
                     mb.state = RunState::Scheduled;
                     true
                 } else {
@@ -509,6 +546,7 @@ impl Pool {
                 closed: false,
                 disconnected: false,
                 waiters: Vec::new(),
+                blocked: 0,
             }),
             not_full: Condvar::new(),
             cap: cap.max(1),
@@ -569,12 +607,12 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
+        // Due timers first, so a steady stream of runnable actors cannot
+        // starve a sleeping one past its wake-up time.
+        shared.fire_due_timers(me, Instant::now());
         let epoch = shared.idle.lock().expect("idle lock").epoch;
         if let Some(actor) = find_task(shared, me, &mut rng) {
             run_actor(shared, me, actor);
-            continue;
-        }
-        if shared.fire_due_timers(me) > 0 {
             continue;
         }
         // Park. Re-check the injection epoch under the idle lock so an
@@ -651,6 +689,7 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
     });
     let mut stopped = false;
     let mut processed = 0usize;
+    let mut asleep = None;
     loop {
         // Timer-heap-driven linger: flush expired micro-batches before
         // draining further input, so a parked batch is never starved by a
@@ -660,6 +699,15 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
         let blocked = CURRENT.with(|c| c.borrow().as_ref().is_some_and(|x| !x.blocked.is_empty()));
         if blocked {
             break;
+        }
+        // Charged service time: the instance is busy until `resume_at`,
+        // so give the pool thread back and sleep on the timer heap.
+        if let Some(at) = worker.resume_at {
+            if at > Instant::now() {
+                asleep = Some(at);
+                break;
+            }
+            worker.resume_at = None;
         }
         let (msg, waiters, disconnected) = actor.pop();
         if !waiters.is_empty() {
@@ -722,9 +770,17 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
     *actor.worker.lock().expect("worker slot") = Some(worker);
     if !ctx.blocked.is_empty() {
         // No timer while suspended: the resumed slice flushes expired
-        // batches first thing, and `fire_due_timers` would drop an entry
-        // for a non-Idle actor anyway.
+        // batches first thing (or goes to sleep if service time is still
+        // owed), and `fire_due_timers` drops entries for suspended actors.
         suspend(shared, me, actor, ctx.blocked);
+        return;
+    }
+    if let Some(at) = asleep {
+        // The wake-up timer also covers pending linger deadlines: the
+        // woken slice flushes expired batches first thing. As with linger
+        // timers, register only once the state is observable.
+        actor.mb.lock().expect("mailbox lock").state = RunState::Sleeping(at);
+        shared.register_timer(at, actor);
         return;
     }
     let schedule = {
@@ -763,7 +819,7 @@ fn suspend(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>, blocked: Vec<
         let mut dm = dest.mb.lock().expect("mailbox lock");
         // Re-check under the destination's lock: a drained (or retired)
         // destination owes no credit. A still-full one holds our
-        // registration until a pop crosses back under capacity — the same
+        // registration until a pop drains it to its low-water mark — the same
         // lock serialises that pop against this check, so the wakeup
         // cannot be missed.
         if !dm.closed && dm.queue.len() >= dest.cap {
@@ -841,6 +897,7 @@ mod tests {
                 closed: false,
                 disconnected: false,
                 waiters: Vec::new(),
+                blocked: 0,
             }),
             not_full: Condvar::new(),
             cap,
@@ -911,7 +968,7 @@ mod tests {
         // len 3 → 2: still at capacity, no credit yet.
         let (_, waiters, _) = actor.pop();
         assert!(waiters.is_empty());
-        // len 2 → 1: crossed under capacity, credit handed out.
+        // len 2 → 1: drained to the low-water mark, credit handed out.
         let (_, waiters, _) = actor.pop();
         assert_eq!(waiters.len(), 1);
         shared.resume(waiters, None);
@@ -920,6 +977,20 @@ mod tests {
         // Subsequent pops find no stale registrations.
         let (_, waiters, _) = actor.pop();
         assert!(waiters.is_empty());
+    }
+
+    #[test]
+    fn credit_returns_a_sixteenth_below_capacity() {
+        let (_, actor) = shell(32);
+        let (_, producer) = shell(2);
+        for _ in 0..32 {
+            actor.push(WorkerMsg::Stop, true).unwrap();
+        }
+        actor.mb.lock().unwrap().waiters.push(producer);
+        // 32 → 31: one free slot is not yet worth a wake-up.
+        assert!(actor.pop().1.is_empty());
+        // 31 → 30: two slots (32 / 16) free, credit handed out.
+        assert_eq!(actor.pop().1.len(), 1);
     }
 
     #[test]
@@ -958,7 +1029,7 @@ mod tests {
         shared.register_timer(now + Duration::from_millis(200), Arc::clone(&b));
         shared.register_timer(now, Arc::clone(&a));
         // Only `a` is due; it is idle, so firing schedules it.
-        let fired = shared.fire_due_timers(0);
+        let fired = shared.fire_due_timers(0, now);
         assert_eq!(fired, 1);
         assert_eq!(a.mb.lock().unwrap().state, RunState::Scheduled);
         assert_eq!(b.mb.lock().unwrap().state, RunState::Idle);
@@ -971,8 +1042,34 @@ mod tests {
         let (shared, a) = shell(4);
         a.mb.lock().unwrap().state = RunState::Suspended;
         shared.register_timer(Instant::now(), Arc::clone(&a));
-        assert_eq!(shared.fire_due_timers(0), 0);
+        assert_eq!(shared.fire_due_timers(0, Instant::now()), 0);
         assert_eq!(a.mb.lock().unwrap().state, RunState::Suspended);
+    }
+
+    #[test]
+    fn sleeping_actor_runs_only_when_its_timer_is_due() {
+        let (shared, a) = shell(4);
+        let wake = Instant::now() + Duration::from_millis(5);
+        a.mb.lock().unwrap().state = RunState::Sleeping(wake);
+        shared.register_timer(wake, Arc::clone(&a));
+        // A push queues behind the service time without scheduling.
+        a.push(marker(1), false).unwrap();
+        assert_eq!(a.mb.lock().unwrap().queue.len(), 1);
+        assert!(shared.injector.lock().unwrap().is_empty());
+        assert!(shared.locals[0].lock().unwrap().is_empty());
+        // A stale linger entry due now must not cut the sleep short.
+        shared.register_timer(wake - Duration::from_millis(4), Arc::clone(&a));
+        assert_eq!(
+            shared.fire_due_timers(0, wake - Duration::from_millis(1)),
+            0
+        );
+        assert_eq!(a.mb.lock().unwrap().state, RunState::Sleeping(wake));
+        assert_eq!(shared.next_timer(), Some(wake));
+        // At the deadline the timer makes it runnable, on the local deque.
+        assert_eq!(shared.fire_due_timers(0, wake), 1);
+        assert_eq!(a.mb.lock().unwrap().state, RunState::Scheduled);
+        assert_eq!(shared.locals[0].lock().unwrap().len(), 1);
+        assert_eq!(shared.next_timer(), None);
     }
 
     #[test]

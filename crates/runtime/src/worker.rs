@@ -706,8 +706,12 @@ pub struct Worker {
     pub dedupe: bool,
     /// Global count of in-flight items, used by scale/drain barriers.
     pub in_flight: Arc<AtomicU64>,
-    /// Accumulated service-time debt not yet slept (see `busy_work`).
+    /// Accumulated service-time debt not yet charged (see `process`).
     pub work_debt: Duration,
+    /// When the instance finishes its charged service time. The scheduler
+    /// honours it between messages: a dedicated thread sleeps until then,
+    /// a pool actor suspends on the timer heap (see [`crate::sched`]).
+    pub resume_at: Option<Instant>,
     /// Owning task id (failure reports name the instance precisely).
     pub task: TaskId,
     /// Heartbeat epoch, bumped once per step and scanned by the
@@ -757,6 +761,9 @@ impl Worker {
                 Some(msg) => {
                     if self.step(msg) {
                         break;
+                    }
+                    if let Some(at) = self.resume_at.take() {
+                        busy_work(at.saturating_duration_since(Instant::now()));
                     }
                     // `recv_timeout` hands back queued messages before it
                     // checks the clock, so a steady arrival stream would
@@ -952,13 +959,16 @@ impl Worker {
 
     fn process(&mut self, item: &Item) -> SdgResult<()> {
         if self.work_ns > 0 {
-            // Accumulate service time and sleep it in ≥1 ms slices: short
+            // Accumulate service time and charge it in ≥1 ms slices: short
             // sleeps overshoot badly (timer slack), which would distort the
-            // modelled service rate.
+            // modelled service rate. Charging only moves `resume_at`; the
+            // scheduler makes the instance unavailable until then.
             self.work_debt +=
                 Duration::from_nanos((self.work_ns as f64 / self.speed.max(0.01)) as u64);
             if self.work_debt >= Duration::from_millis(1) {
-                busy_work(self.work_debt);
+                let now = Instant::now();
+                let from = self.resume_at.map_or(now, |at| at.max(now));
+                self.resume_at = Some(from + self.work_debt);
                 self.work_debt = Duration::ZERO;
             }
         }
@@ -1140,13 +1150,14 @@ impl TaskContext for NativeCtx<'_> {
     }
 }
 
-/// Sleeps for `d`, simulating the per-item service time of a TE.
+/// Sleeps for `d`, simulating the per-item service time of a TE on a
+/// dedicated thread (the pool suspends the actor instead).
 ///
-/// Sleeping (not spinning) is deliberate: each simulated node is a thread,
-/// and on a host with fewer cores than simulated nodes, spinning would
-/// serialise the whole cluster. Sleeping lets node service times overlap
-/// the way independent machines do, so scaling experiments behave like the
-/// cluster they model regardless of the host's core count.
+/// Sleeping (not spinning) is deliberate: on a host with fewer cores than
+/// simulated nodes, spinning would serialise the whole cluster. Sleeping
+/// lets node service times overlap the way independent machines do, so
+/// scaling experiments behave like the cluster they model regardless of
+/// the host's core count.
 pub fn busy_work(d: Duration) {
     if d.is_zero() {
         return;

@@ -84,6 +84,7 @@ fn probe_worker(
         dedupe: false,
         in_flight: Arc::new(AtomicU64::new(0)),
         work_debt: Duration::ZERO,
+        resume_at: None,
         task: TaskId(0),
         heartbeat: Arc::new(AtomicU64::new(0)),
         fault: None,

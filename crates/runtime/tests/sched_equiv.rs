@@ -12,12 +12,12 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use sdg_common::ids::StateId;
 use sdg_common::record;
-use sdg_common::value::Value;
+use sdg_common::value::{Key, Value};
 use sdg_graph::model::{
     AccessMode, Dispatch, Distribution, SdgBuilder, StateAccessEdge, TaskCode, TaskKind,
 };
@@ -364,6 +364,79 @@ fn pool_quiesce_drains_parked_micro_batches() {
     }
     let total: usize = state_of(&d, t).len();
     assert_eq!(total, 100, "every key must have been applied exactly once");
+    assert_eq!(d.stats().errors, 0);
+    d.shutdown();
+}
+
+/// Modelled service time suspends a pool actor on the timer heap instead
+/// of holding a pool worker: 8 replicas charging 2 ms per item on a
+/// 2-worker pool overlap like 8 machines, finishing in at most a third of
+/// the serial time (sleeping on the workers would cap the overlap at 2).
+#[test]
+fn pool_overlaps_service_time_beyond_its_workers() {
+    const REPLICAS: usize = 8;
+    const PER_REPLICA: usize = 25;
+    const WORK: Duration = Duration::from_millis(2);
+    let mut b = SdgBuilder::new();
+    let t = b.add_state(
+        "t",
+        StateType::Table,
+        Distribution::Partitioned {
+            dim: PartitionDim::Row,
+        },
+    );
+    let put = b.add_task(
+        "put",
+        TaskKind::Entry {
+            method: "main".into(),
+        },
+        TaskCode::Interpreted(te_of(
+            "Table t;\nvoid main(int n0, int n1, int n2) { v = t.inc(n0, 1); }",
+        )),
+        Some(StateAccessEdge {
+            state: t,
+            mode: AccessMode::Partitioned {
+                key: "n0".into(),
+                dim: PartitionDim::Row,
+            },
+            writes: true,
+        }),
+    );
+    let mut cfg = RuntimeConfig {
+        scheduler: SchedulerMode::Pool,
+        sched_threads: 2,
+        ..Default::default()
+    };
+    cfg.se_instances.insert(t, REPLICAS);
+    cfg.work_ns.insert(put, WORK.as_nanos() as u64);
+    let d = Deployment::start(b.build().unwrap(), cfg).unwrap();
+    // Exactly PER_REPLICA keys per partition, so no replica is a straggler.
+    let mut per_part = [0usize; REPLICAS];
+    let keys: Vec<i64> = (0i64..)
+        .filter(|k| {
+            let p = (Key::Int(*k).stable_hash() % REPLICAS as u64) as usize;
+            per_part[p] += 1;
+            per_part[p] <= PER_REPLICA
+        })
+        .take(REPLICAS * PER_REPLICA)
+        .collect();
+    let t0 = Instant::now();
+    for k in &keys {
+        d.submit(
+            "main",
+            record! {"n0" => Value::Int(*k), "n1" => Value::Int(0), "n2" => Value::Int(0)},
+        )
+        .unwrap();
+    }
+    assert!(d.quiesce(Duration::from_secs(30)));
+    let elapsed = t0.elapsed();
+    let serial = WORK * keys.len() as u32;
+    assert!(
+        elapsed * 3 <= serial,
+        "{elapsed:?} for {} items of {WORK:?} on 2 workers; serial time {serial:?}",
+        keys.len()
+    );
+    assert_eq!(state_of(&d, t).len(), keys.len());
     assert_eq!(d.stats().errors, 0);
     d.shutdown();
 }

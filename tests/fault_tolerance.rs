@@ -74,6 +74,42 @@ fn repeated_failures_of_different_partitions_stay_exact() {
 }
 
 #[test]
+fn explicit_checkpoint_trims_all_buffers_under_default_striping() {
+    // Default config: 16 lock stripes per partition, of which a partition
+    // of 2 reaches only 8. The checkpoint vector must still cover every
+    // item applied before the cut, so the explicit checkpoint trims the
+    // upstream buffers to nothing and the failure replays nothing.
+    let app = KvApp::start(2, ft_config(Duration::from_secs(3600))).unwrap();
+    let stripes = app
+        .deployment()
+        .metrics()
+        .state_by_id(app.state())
+        .unwrap()
+        .stripes;
+    assert_eq!(stripes, 16, "default striping");
+    for n in 0..2_000i64 {
+        app.bump(n % 500).unwrap();
+    }
+    assert!(app.quiesce(Duration::from_secs(30)));
+    app.deployment()
+        .reconfigure(ReconfigRequest::Checkpoint)
+        .unwrap();
+    assert_eq!(app.deployment().metrics().checkpoints.buffered_bytes, 0);
+    let report = app
+        .deployment()
+        .reconfigure(ReconfigRequest::FailAndRecover {
+            state: app.state(),
+            replica: 0,
+        })
+        .unwrap();
+    assert_eq!(report.replayed, 0);
+    assert!(app.quiesce(Duration::from_secs(30)));
+    assert_eq!(total_count(&app), 2_000);
+    assert_eq!(app.deployment().stats().errors, 0);
+    app.shutdown();
+}
+
+#[test]
 fn periodic_checkpoints_bound_replay_volume() {
     // With frequent checkpoints, the trimmed upstream buffers make the
     // replay after a failure small.
