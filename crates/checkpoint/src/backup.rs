@@ -26,6 +26,7 @@ use sdg_common::codec::{write_varint, Reader};
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{EdgeId, InstanceId};
 use sdg_common::time::VectorTs;
+use sdg_common::value::stable_hash_bytes;
 use sdg_state::entry::StateEntry;
 use sdg_state::store::StateType;
 
@@ -125,21 +126,26 @@ fn unframe_chunk(key: ChunkKey, framed: &[u8]) -> SdgResult<Vec<u8>> {
 
 /// Deterministic fault-injection plan for one [`BackupStore`].
 ///
-/// Counters are per store and strictly ordinal, so a given spec produces
-/// the same fault sequence on every run: `write_error_every = n` fails
-/// write attempts `n, 2n, 3n, …` with a *transient* I/O error (a retry —
-/// which is attempt `n+1` — succeeds), while `n = 1` fails every attempt,
-/// modelling a *persistent* fault. `torn_write_every` tears the
-/// corresponding successful writes: only a truncated prefix of the frame
-/// is persisted, yet the call reports success — exactly a torn disk
-/// write, detected later by the read-side checksum.
+/// Whether an I/O attempt fails depends only on the spec, the chunk key
+/// and the attempt number — never on how concurrent writers interleave —
+/// so a given spec fails the same chunks on every run.
+/// `write_error_every = n > 1` fails the first write attempt of about one
+/// chunk key in `n` (picked by a hash of the key) with a *transient* I/O
+/// error, and its retry succeeds; `n = 1` fails every attempt, modelling
+/// a *persistent* fault. Reads work the same way. `torn_write_every = n`
+/// tears the successful write of about one key in `n` (`n = 1`: every
+/// write): only a truncated prefix of the frame is persisted, yet the
+/// call reports success — exactly a torn disk write, detected later by
+/// the read-side checksum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreFaultSpec {
-    /// Fail every Nth write attempt (0 = never, 1 = always/persistent).
+    /// Fail the first write attempt of one key in N (0 = never,
+    /// 1 = every attempt, persistently).
     pub write_error_every: u64,
-    /// Fail every Nth read attempt (0 = never, 1 = always/persistent).
+    /// Fail the first read attempt of one key in N (0 = never,
+    /// 1 = every attempt, persistently).
     pub read_error_every: u64,
-    /// Tear every Nth otherwise-successful write (0 = never).
+    /// Tear the successful write of one key in N (0 = never).
     pub torn_write_every: u64,
 }
 
@@ -148,24 +154,32 @@ impl StoreFaultSpec {
     pub fn is_noop(&self) -> bool {
         self.write_error_every == 0 && self.read_error_every == 0 && self.torn_write_every == 0
     }
-}
 
-#[derive(Debug, Default)]
-struct FaultState {
-    spec: StoreFaultSpec,
-    writes: AtomicU64,
-    reads: AtomicU64,
-    committed: AtomicU64,
-}
-
-impl FaultState {
-    fn every(counter: &AtomicU64, n: u64) -> bool {
-        if n == 0 {
-            return false;
+    /// Whether attempt `attempt` of fault kind `kind` on `key` is hit,
+    /// for a one-in-`n` rate. Only first attempts are hit when `n > 1`,
+    /// so a transient fault never fails a retry.
+    fn hits(n: u64, kind: u8, key: ChunkKey, attempt: u32) -> bool {
+        match n {
+            0 => false,
+            1 => true,
+            _ => attempt == 1 && fault_hash(kind, key).is_multiple_of(n),
         }
-        let tick = counter.fetch_add(1, Ordering::Relaxed) + 1;
-        tick.is_multiple_of(n)
     }
+}
+
+/// A well-mixed hash of `(kind, key)` for fault selection: FNV-1a over
+/// the key's fields, then a SplitMix64 finaliser so `% n` sees every bit.
+fn fault_hash(kind: u8, key: ChunkKey) -> u64 {
+    let mut bytes = [0u8; 21];
+    bytes[0] = kind;
+    bytes[1..5].copy_from_slice(&key.instance.task.raw().to_le_bytes());
+    bytes[5..9].copy_from_slice(&key.instance.replica.to_le_bytes());
+    bytes[9..17].copy_from_slice(&key.seq.to_le_bytes());
+    bytes[17..21].copy_from_slice(&key.chunk.to_le_bytes());
+    let mut z = stable_hash_bytes(&bytes);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Bounded retry policy for transient store I/O errors.
@@ -203,7 +217,7 @@ pub struct BackupStore {
     write_bps: Option<u64>,
     read_bps: Option<u64>,
     retry: RetryPolicy,
-    faults: Option<FaultState>,
+    faults: Option<StoreFaultSpec>,
     retried: AtomicU64,
 }
 
@@ -251,14 +265,7 @@ impl BackupStore {
 
     /// Installs a deterministic fault-injection plan.
     pub fn with_faults(mut self, spec: StoreFaultSpec) -> Self {
-        self.faults = if spec.is_noop() {
-            None
-        } else {
-            Some(FaultState {
-                spec,
-                ..FaultState::default()
-            })
-        };
+        self.faults = (!spec.is_noop()).then_some(spec);
         self
     }
 
@@ -329,14 +336,14 @@ impl BackupStore {
         Self::throttle(self.write_bps, bytes.len());
         let framed = frame_chunk(&bytes);
         self.with_retries(|attempt| {
-            if let Some(faults) = &self.faults {
-                if FaultState::every(&faults.writes, faults.spec.write_error_every) {
+            if let Some(spec) = &self.faults {
+                if StoreFaultSpec::hits(spec.write_error_every, 0, key, attempt) {
                     return Err(SdgError::Io {
-                        transient: faults.spec.write_error_every > 1,
+                        transient: spec.write_error_every > 1,
                         message: format!("injected write fault on chunk {key} (attempt {attempt})"),
                     });
                 }
-                if FaultState::every(&faults.committed, faults.spec.torn_write_every) {
+                if StoreFaultSpec::hits(spec.torn_write_every, 1, key, 1) {
                     // A torn write persists a truncated frame but still
                     // reports success to the writer.
                     let cut = framed.len() / 2;
@@ -352,10 +359,10 @@ impl BackupStore {
     /// chunk) surfaces as a non-retryable corruption error.
     pub fn read_chunk(&self, key: ChunkKey) -> SdgResult<Vec<u8>> {
         let framed = self.with_retries(|attempt| {
-            if let Some(faults) = &self.faults {
-                if FaultState::every(&faults.reads, faults.spec.read_error_every) {
+            if let Some(spec) = &self.faults {
+                if StoreFaultSpec::hits(spec.read_error_every, 2, key, attempt) {
                     return Err(SdgError::Io {
-                        transient: faults.spec.read_error_every > 1,
+                        transient: spec.read_error_every > 1,
                         message: format!("injected read fault on chunk {key} (attempt {attempt})"),
                     });
                 }
@@ -556,6 +563,7 @@ pub fn decode_entries(bytes: &[u8]) -> SdgResult<Vec<StateEntry>> {
 mod tests {
     use super::*;
     use sdg_common::ids::TaskId;
+    use std::collections::BTreeMap;
     use std::time::Instant;
 
     fn key(seq: u64, chunk: u32) -> ChunkKey {
@@ -674,8 +682,8 @@ mod tests {
 
     #[test]
     fn transient_faults_are_retried_away() {
-        // Every 2nd write attempt fails; the default 3-attempt retry
-        // policy absorbs each failure.
+        // The first attempt on about every 2nd key fails; the default
+        // 3-attempt retry policy absorbs each failure.
         let store = BackupStore::in_memory().with_faults(StoreFaultSpec {
             write_error_every: 2,
             read_error_every: 2,
@@ -688,6 +696,47 @@ mod tests {
             assert_eq!(store.read_chunk(key(1, i)).unwrap(), vec![i as u8; 16]);
         }
         assert!(store.retried_ops() > 0);
+    }
+
+    #[test]
+    fn concurrent_writers_see_the_same_faults_and_always_recover() {
+        // Which keys fault depends on the key alone — not on the order of
+        // writes, nor on how four concurrent writers interleave — and a
+        // retry is never hit, so the default 3-attempt policy absorbs
+        // every transient fault.
+        let spec = StoreFaultSpec {
+            write_error_every: 3,
+            read_error_every: 3,
+            ..Default::default()
+        };
+        let retries_per_key = |order: Vec<u32>| -> BTreeMap<u32, u64> {
+            let store = BackupStore::in_memory().with_faults(spec);
+            let mut out = BTreeMap::new();
+            for i in order {
+                let before = store.retried_ops();
+                store.write_chunk(key(1, i), vec![1]).unwrap();
+                store.read_chunk(key(1, i)).unwrap();
+                out.insert(i, store.retried_ops() - before);
+            }
+            out
+        };
+        let serial = retries_per_key((0..400).collect());
+        assert_eq!(serial, retries_per_key((0..400).rev().collect()));
+        let total: u64 = serial.values().sum();
+        assert!(total > 0, "a one-in-3 rate must hit some of 400 keys");
+        let shared = BackupStore::in_memory().with_faults(spec);
+        thread::scope(|scope| {
+            for t in 0..4u32 {
+                let store = &shared;
+                scope.spawn(move || {
+                    for i in (t * 100)..(t + 1) * 100 {
+                        store.write_chunk(key(1, i), vec![1]).unwrap();
+                        store.read_chunk(key(1, i)).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(shared.retried_ops(), total);
     }
 
     #[test]
@@ -704,15 +753,35 @@ mod tests {
 
     #[test]
     fn torn_writes_report_success_but_fail_the_read_checksum() {
-        let store = BackupStore::in_memory().with_faults(StoreFaultSpec {
+        let spec = StoreFaultSpec {
             torn_write_every: 2,
             ..Default::default()
-        });
-        store.write_chunk(key(1, 0), vec![3; 100]).unwrap();
-        store.write_chunk(key(1, 1), vec![4; 100]).unwrap(); // torn
-        assert_eq!(store.read_chunk(key(1, 0)).unwrap(), vec![3; 100]);
-        let err = store.read_chunk(key(1, 1)).unwrap_err();
-        assert!(err.to_string().contains("corrupt"), "{err}");
+        };
+        let torn = |store: &BackupStore| -> Vec<u32> {
+            (0..16)
+                .filter(|&i| match store.read_chunk(key(1, i)) {
+                    Ok(bytes) => {
+                        assert_eq!(bytes, vec![i as u8; 100]);
+                        false
+                    }
+                    Err(err) => {
+                        assert!(err.to_string().contains("corrupt"), "{err}");
+                        true
+                    }
+                })
+                .collect()
+        };
+        let a = BackupStore::in_memory().with_faults(spec);
+        let b = BackupStore::in_memory().with_faults(spec);
+        for i in 0..16 {
+            a.write_chunk(key(1, i), vec![i as u8; 100]).unwrap();
+        }
+        for i in (0..16).rev() {
+            b.write_chunk(key(1, i), vec![i as u8; 100]).unwrap();
+        }
+        let torn_a = torn(&a);
+        assert!(!torn_a.is_empty() && torn_a.len() < 16, "{torn_a:?}");
+        assert_eq!(torn_a, torn(&b), "the key, not the write order, decides");
     }
 
     #[test]

@@ -276,7 +276,7 @@ impl Codec for Record {
         }
         let mut rec = Record::with_capacity(len);
         for _ in 0..len {
-            let name = r.read_str()?.to_owned();
+            let name = r.read_str()?;
             let value = Value::decode(r)?;
             rec.set(name, value);
         }

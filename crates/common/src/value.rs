@@ -6,9 +6,11 @@
 //! structures that need hashable, totally ordered keys use the [`Key`]
 //! subset, which excludes floats.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::error::{SdgError, SdgResult};
 
@@ -314,14 +316,63 @@ pub fn stable_hash_bytes(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Returns the process-wide interned copy of `name`.
+///
+/// Record field names come from a small, fixed vocabulary: the variables
+/// of deployed programs, the names at `record!` sites and the names in
+/// decoded records. Each distinct name is leaked once and every later
+/// request returns the same `&'static str`, so building, cloning and
+/// dropping a record copies name pointers instead of allocating (or
+/// freeing, possibly on another thread) a string per field. A
+/// thread-local set answers repeat lookups without touching the global
+/// lock.
+pub fn intern(name: &str) -> &'static str {
+    thread_local! {
+        static LOCAL: RefCell<NameSet> = RefCell::new(NameSet::default());
+    }
+    fn global(name: &str) -> &'static str {
+        static GLOBAL: OnceLock<Mutex<NameSet>> = OnceLock::new();
+        // A panic cannot leave the set half-updated (its one mutation is
+        // an insert of a leaked name), so a poisoned lock is still sound.
+        let mut set = GLOBAL
+            .get_or_init(Default::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        match set.get(name) {
+            Some(&interned) => interned,
+            None => {
+                let interned: &'static str = Box::leak(name.into());
+                set.insert(interned);
+                interned
+            }
+        }
+    }
+    LOCAL
+        .try_with(|local| {
+            if let Some(&interned) = local.borrow().get(name) {
+                return interned;
+            }
+            let interned = global(name);
+            local.borrow_mut().insert(interned);
+            interned
+        })
+        // Thread-local storage is already torn down (a destructor running
+        // at thread exit): fall back to the global set.
+        .unwrap_or_else(|_| global(name))
+}
+
+/// A set of interned names. It keeps std's keyed hasher: decoded
+/// records bring names from outside the process.
+type NameSet = HashSet<&'static str>;
+
 /// A set of named values: the payload of a dataflow item.
 ///
 /// Records hold the live variables that cross a TE boundary. Field order is
 /// insertion order; lookups are linear, which is faster than hashing for the
-/// small arity (≤ ~8) of real dataflow edges.
+/// small arity (≤ ~8) of real dataflow edges. Names are [`intern`]ed.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Record {
-    fields: Vec<(Arc<str>, Value)>,
+    fields: Vec<(&'static str, Value)>,
 }
 
 impl Record {
@@ -341,29 +392,24 @@ impl Record {
     ///
     /// Callers must guarantee `name` is not already present (e.g. when
     /// building a record from a sorted, deduplicated live-variable set).
-    /// Taking an `Arc<str>` lets hot paths reuse interned names instead of
-    /// re-allocating them per item.
-    pub fn push_unchecked(&mut self, name: Arc<str>, value: Value) {
-        debug_assert!(self.get(&name).is_none(), "duplicate field `{name}`");
+    pub fn push_unchecked(&mut self, name: &'static str, value: Value) {
+        debug_assert!(self.get(name).is_none(), "duplicate field `{name}`");
         self.fields.push((name, value));
     }
 
     /// Sets `name` to `value`, replacing any existing binding.
     pub fn set(&mut self, name: impl AsRef<str>, value: Value) {
         let name = name.as_ref();
-        if let Some(slot) = self.fields.iter_mut().find(|(n, _)| &**n == name) {
+        if let Some(slot) = self.fields.iter_mut().find(|(n, _)| *n == name) {
             slot.1 = value;
         } else {
-            self.fields.push((Arc::from(name), value));
+            self.fields.push((intern(name), value));
         }
     }
 
     /// Returns the value bound to `name`, if any.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.fields
-            .iter()
-            .find(|(n, _)| &**n == name)
-            .map(|(_, v)| v)
+        self.fields.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
     /// Returns the value bound to `name`, or a [`SdgError::NotFound`].
@@ -374,7 +420,7 @@ impl Record {
 
     /// Removes the binding for `name`, returning its value.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        let idx = self.fields.iter().position(|(n, _)| &**n == name)?;
+        let idx = self.position(name)?;
         Some(self.fields.remove(idx).1)
     }
 
@@ -389,21 +435,18 @@ impl Record {
     }
 
     /// Iterates over `(name, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.fields.iter().map(|(n, v)| (&**n, v))
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Value)> {
+        self.fields.iter().map(|(n, v)| (*n, v))
     }
 
     /// Returns the field at `idx` (insertion order), if in bounds.
-    ///
-    /// The name comes back as the interned `Arc<str>` so callers can clone
-    /// it without re-allocating the string.
-    pub fn at(&self, idx: usize) -> Option<(&Arc<str>, &Value)> {
-        self.fields.get(idx).map(|(n, v)| (n, v))
+    pub fn at(&self, idx: usize) -> Option<(&'static str, &Value)> {
+        self.fields.get(idx).map(|(n, v)| (*n, v))
     }
 
     /// Returns the insertion-order index of `name`, if present.
     pub fn position(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|(n, _)| &**n == name)
+        self.fields.iter().position(|(n, _)| *n == name)
     }
 
     /// Returns `true` if the record's fields are exactly `names`, in order.
@@ -417,7 +460,7 @@ impl Record {
                 .fields
                 .iter()
                 .zip(names)
-                .all(|((n, _), want)| &**n == want.as_ref())
+                .all(|((n, _), want)| *n == want.as_ref())
     }
 
     /// Keeps only the fields whose names appear in `names` (the live set).
@@ -440,22 +483,13 @@ impl Record {
     }
 }
 
-impl FromIterator<(Arc<str>, Value)> for Record {
-    fn from_iter<T: IntoIterator<Item = (Arc<str>, Value)>>(iter: T) -> Self {
-        let mut r = Record::new();
-        for (n, v) in iter {
-            r.set(&*n, v);
-        }
-        r
-    }
-}
-
 /// Convenience constructor macro for records: `record!{"a" => Value::Int(1)}`.
 ///
-/// The record is allocated at its exact arity. Ingest hands a submitted
-/// record to the worker that consumes it, which frees it on its own
-/// thread; with glibc malloc, exact-size blocks proved much cheaper to
-/// free there than a grown vector with spare capacity.
+/// The record is one allocation: its field vector, at exact arity (names
+/// are [`intern`]ed). Ingest hands a submitted record to the worker that
+/// consumes it, which frees it on its own thread; with glibc malloc,
+/// exact-size blocks proved much cheaper to free there than a grown vector
+/// with spare capacity, and every extra block is another cross-thread free.
 #[macro_export]
 macro_rules! record {
     ($($name:expr => $value:expr),* $(,)?) => {{
@@ -546,6 +580,29 @@ mod tests {
         assert_eq!(p.get("a"), Some(&Value::Int(1)));
         assert_eq!(p.get("c"), Some(&Value::Int(3)));
         assert_eq!(p.get("b"), None);
+    }
+
+    #[test]
+    fn intern_returns_one_pointer_per_name_across_threads() {
+        let here = intern("intern_test_name");
+        assert_eq!(here, "intern_test_name");
+        let owned = String::from("intern_test_name");
+        assert!(std::ptr::eq(here, intern(&owned)));
+        let there: Vec<&'static str> = (0..4)
+            .map(|_| std::thread::spawn(|| intern("intern_test_name")))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect();
+        assert!(there.iter().all(|&name| std::ptr::eq(name, here)));
+        assert!(!std::ptr::eq(intern("intern_test_other"), here));
+    }
+
+    #[test]
+    fn record_names_are_interned() {
+        let mut r = Record::new();
+        r.set(String::from("field"), Value::Int(1));
+        assert!(std::ptr::eq(r.at(0).unwrap().0, intern("field")));
     }
 
     #[test]

@@ -17,17 +17,18 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sdg_common::value::Value;
+use sdg_common::value::{intern, Value};
 
 use crate::ast::{BinOp, Expr, ExprKind, Method, Stmt, StmtKind, UnOp};
 use crate::te::TeProgram;
 
 /// Interned names of one frame (the TE body or one helper), mapping each
-/// name to a dense register slot.
+/// name to a dense register slot. Names are process-interned
+/// ([`intern`]), so output records take them by pointer copy.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    names: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+    names: Vec<&'static str>,
+    index: HashMap<&'static str, u32>,
 }
 
 impl SymbolTable {
@@ -37,8 +38,8 @@ impl SymbolTable {
             return slot;
         }
         let slot = self.names.len() as u32;
-        let interned: Arc<str> = Arc::from(name);
-        self.names.push(Arc::clone(&interned));
+        let interned = intern(name);
+        self.names.push(interned);
         self.index.insert(interned, slot);
         slot
     }
@@ -49,8 +50,8 @@ impl SymbolTable {
     }
 
     /// Returns the name stored at `slot`.
-    pub fn name(&self, slot: u32) -> &Arc<str> {
-        &self.names[slot as usize]
+    pub fn name(&self, slot: u32) -> &'static str {
+        self.names[slot as usize]
     }
 
     /// Number of slots (the register-file size of the frame).
@@ -381,7 +382,7 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(t.intern("a"), a);
         assert_eq!(t.len(), 2);
-        assert_eq!(&**t.name(b), "b");
+        assert_eq!(t.name(b), "b");
         assert_eq!(t.lookup("b"), Some(b));
         assert_eq!(t.lookup("zz"), None);
     }

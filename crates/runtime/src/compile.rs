@@ -89,7 +89,7 @@ pub fn run_compiled(
                 te.name
             ))
         })?;
-        out.push_unchecked(te.symbols.name(slot).clone(), value);
+        out.push_unchecked(te.symbols.name(slot), value);
     }
     effects.forwards.push(out);
     Ok(effects)

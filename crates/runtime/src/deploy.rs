@@ -25,7 +25,7 @@ use sdg_common::obs::{
     DeploymentStats, EventKind, MetricsRegistry, MetricsSnapshot, ObsEvent, TaskInstruments,
 };
 use sdg_common::time::{TsGen, VectorTs};
-use sdg_common::value::Record;
+use sdg_common::value::{intern, Record};
 use sdg_graph::alloc::allocate;
 use sdg_graph::model::{AccessMode, Dispatch, Distribution, Sdg, StateDecl, TaskKind};
 use sdg_graph::validate::validate;
@@ -683,7 +683,7 @@ impl Inner {
             .flows_to(task_id)
             .iter()
             .find_map(|f| match &f.dispatch {
-                Dispatch::AllToOne { collect_var } => Some(collect_var.clone()),
+                Dispatch::AllToOne { collect_var } => Some(intern(collect_var)),
                 _ => None,
             });
 

@@ -319,8 +319,8 @@ impl OutEdge {
                 let mut valid = true;
                 for (want, &pos) in self.live_vars.iter().zip(idx) {
                     match payload.at(pos) {
-                        Some((name, value)) if &**name == want.as_str() => {
-                            out.push_unchecked(Arc::clone(name), value.clone());
+                        Some((name, value)) if name == want.as_str() => {
+                            out.push_unchecked(name, value.clone());
                         }
                         _ => {
                             valid = false;
@@ -350,7 +350,7 @@ impl OutEdge {
             let (name, value) = payload
                 .at(pos)
                 .expect("position() returned in-bounds index");
-            out.push_unchecked(Arc::clone(name), value.clone());
+            out.push_unchecked(name, value.clone());
         }
         self.proj_idx = Some(idx);
         Arc::new(out)
@@ -688,7 +688,7 @@ pub struct Worker {
     /// producer replica`.
     pub pending_gathers: HashMap<u64, HashMap<u32, Item>>,
     /// Collect variable of the inbound gather edge, if any.
-    pub gather_var: Option<String>,
+    pub gather_var: Option<&'static str>,
     /// Synthetic per-item CPU cost in nanoseconds (scaled by node speed).
     pub work_ns: u64,
     /// Hosting node's speed factor.
@@ -886,8 +886,8 @@ impl Worker {
         }
         self.obs.items_in.inc();
         // Gather barriers assemble one logical item from `expect` fragments.
-        let item = if let Some(var) = self.gather_var.clone() {
-            match self.assemble(item, &var) {
+        let item = if let Some(var) = self.gather_var {
+            match self.assemble(item, var) {
                 Some(merged) => merged,
                 None => {
                     // Barrier still waiting on sibling fragments.

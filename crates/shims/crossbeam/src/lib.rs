@@ -5,12 +5,14 @@
 //! and disconnect detection — the subset the SDG runtime uses. The
 //! implementation is a `Mutex<VecDeque>` with two condvars; adequate for
 //! the worker fan-out sizes the runtime deploys (tens of threads), if not
-//! for crossbeam's lock-free throughput.
+//! for crossbeam's lock-free throughput. A condvar is signalled only when
+//! a thread waits on it (counted under the lock): a futex `notify_one`
+//! is a syscall even when nobody sleeps.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct Shared<T> {
@@ -27,6 +29,22 @@ pub mod channel {
         cap: Option<usize>,
         senders: usize,
         receivers: usize,
+        /// Receivers waiting on `not_empty`.
+        waiting_receivers: usize,
+        /// Senders blocked on `not_full`.
+        blocked_senders: usize,
+    }
+
+    impl<T> Shared<T> {
+        /// Unlocks after a pop, waking one blocked sender (if any) for the
+        /// freed slot.
+        fn slot_freed(&self, inner: MutexGuard<'_, Inner<T>>) {
+            let wake = inner.blocked_senders > 0;
+            drop(inner);
+            if wake {
+                self.not_full.notify_one();
+            }
+        }
     }
 
     /// The sending half of a channel.
@@ -95,6 +113,8 @@ pub mod channel {
                 cap,
                 senders: 1,
                 receivers: 1,
+                waiting_receivers: 0,
+                blocked_senders: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -117,18 +137,23 @@ pub mod channel {
                 }
                 match inner.cap {
                     Some(cap) if inner.queue.len() >= cap => {
+                        inner.blocked_senders += 1;
                         inner = self
                             .shared
                             .not_full
                             .wait(inner)
                             .unwrap_or_else(|e| e.into_inner());
+                        inner.blocked_senders -= 1;
                     }
                     _ => break,
                 }
             }
             inner.queue.push_back(value);
+            let wake = inner.waiting_receivers > 0;
             drop(inner);
-            self.shared.not_empty.notify_one();
+            if wake {
+                self.shared.not_empty.notify_one();
+            }
             Ok(())
         }
 
@@ -155,18 +180,19 @@ pub mod channel {
             let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(v) = inner.queue.pop_front() {
-                    drop(inner);
-                    self.shared.not_full.notify_one();
+                    self.shared.slot_freed(inner);
                     return Ok(v);
                 }
                 if inner.senders == 0 {
                     return Err(RecvError);
                 }
+                inner.waiting_receivers += 1;
                 inner = self
                     .shared
                     .not_empty
                     .wait(inner)
                     .unwrap_or_else(|e| e.into_inner());
+                inner.waiting_receivers -= 1;
             }
         }
 
@@ -176,8 +202,7 @@ pub mod channel {
             let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(v) = inner.queue.pop_front() {
-                    drop(inner);
-                    self.shared.not_full.notify_one();
+                    self.shared.slot_freed(inner);
                     return Ok(v);
                 }
                 if inner.senders == 0 {
@@ -187,12 +212,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                inner.waiting_receivers += 1;
                 let (guard, res) = self
                     .shared
                     .not_empty
                     .wait_timeout(inner, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 inner = guard;
+                inner.waiting_receivers -= 1;
                 if res.timed_out() && inner.queue.is_empty() {
                     return Err(RecvTimeoutError::Timeout);
                 }
@@ -203,8 +230,7 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(v) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.not_full.notify_one();
+                self.shared.slot_freed(inner);
                 return Ok(v);
             }
             if inner.senders == 0 {
@@ -353,6 +379,64 @@ pub mod channel {
             let (tx, rx) = bounded(1);
             drop(rx);
             assert_eq!(tx.send(9), Err(SendError(9)));
+        }
+
+        /// Waits until exactly `receivers` receivers and `senders` senders
+        /// wait on the channel's condvars, so a test wakes a thread that
+        /// is really asleep.
+        fn until_parked<T>(shared: &Shared<T>, receivers: usize, senders: usize) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let inner = shared.inner.lock().unwrap();
+                if inner.waiting_receivers == receivers && inner.blocked_senders == senders {
+                    return;
+                }
+                drop(inner);
+                assert!(Instant::now() < deadline, "thread never parked");
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        #[test]
+        fn send_wakes_a_blocked_recv() {
+            let (tx, rx) = unbounded();
+            let shared = Arc::clone(&rx.shared);
+            let h = thread::spawn(move || rx.recv());
+            until_parked(&shared, 1, 0);
+            tx.send(5).unwrap();
+            assert_eq!(h.join().unwrap(), Ok(5));
+            assert_eq!(shared.inner.lock().unwrap().waiting_receivers, 0);
+        }
+
+        #[test]
+        fn send_wakes_a_waiting_recv_timeout() {
+            let (tx, rx) = unbounded();
+            let shared = Arc::clone(&rx.shared);
+            let h = thread::spawn(move || {
+                let t0 = Instant::now();
+                (rx.recv_timeout(Duration::from_secs(30)), t0.elapsed())
+            });
+            until_parked(&shared, 1, 0);
+            tx.send(6).unwrap();
+            let (got, waited) = h.join().unwrap();
+            assert_eq!(got, Ok(6));
+            assert!(
+                waited < Duration::from_secs(10),
+                "woken by the send, not the timeout"
+            );
+        }
+
+        #[test]
+        fn recv_wakes_a_blocked_bounded_send() {
+            let (tx, rx) = bounded(1);
+            let shared = Arc::clone(&tx.shared);
+            tx.send(1).unwrap();
+            let h = thread::spawn(move || tx.send(2));
+            until_parked(&shared, 0, 1);
+            assert_eq!(rx.try_recv(), Ok(1));
+            assert_eq!(h.join().unwrap(), Ok(()));
+            assert_eq!(rx.recv(), Ok(2));
+            assert_eq!(shared.inner.lock().unwrap().blocked_senders, 0);
         }
 
         #[test]

@@ -11,6 +11,7 @@
 //! 3. once the checkpoint is durable, `consolidate` folds the overlay into
 //!    the base under a short exclusive section.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -177,10 +178,32 @@ impl KeyedTable {
     }
 
     /// Inserts or replaces `key`, returning the previously visible value.
+    ///
+    /// One probe of the map written to: the base map in normal mode, the
+    /// overlay (plus a base lookup on a first overlay write) while a
+    /// checkpoint is outstanding.
     pub fn put(&mut self, key: Key, value: Value) -> Option<Value> {
-        let prev = self.get(&key);
         let key_size = key.approx_size();
         let entry_size = key_size + value.approx_size();
+        self.mark_chunk(&key);
+        let prev = match &mut self.dirty {
+            None => Arc::make_mut(&mut self.base).insert(key, value),
+            Some(dirty) => {
+                self.overlay_bytes += entry_size;
+                match dirty.entry(key) {
+                    Entry::Occupied(mut slot) => {
+                        let old = slot.insert(Some(value));
+                        self.overlay_bytes -= key_size + old.as_ref().map_or(0, Value::approx_size);
+                        old
+                    }
+                    Entry::Vacant(slot) => {
+                        let old = self.base.get(slot.key()).cloned();
+                        slot.insert(Some(value));
+                        old
+                    }
+                }
+            }
+        };
         match prev.as_ref() {
             Some(old) => {
                 self.visible_bytes += entry_size;
@@ -191,41 +214,41 @@ impl KeyedTable {
                 self.visible_bytes += entry_size;
             }
         }
-        self.mark_chunk(&key);
-        match &mut self.dirty {
-            Some(dirty) => {
-                let old_slot = dirty.insert(key, Some(value));
-                self.overlay_bytes += entry_size;
-                if let Some(slot) = old_slot {
-                    self.overlay_bytes -= key_size + slot.as_ref().map_or(0, Value::approx_size);
-                }
-            }
-            None => {
-                Arc::make_mut(&mut self.base).insert(key, value);
-            }
-        }
         prev
     }
 
     /// Removes `key`, returning the previously visible value.
     pub fn remove(&mut self, key: &Key) -> Option<Value> {
-        let prev = self.get(key)?;
         let key_size = key.approx_size();
+        let prev = match &mut self.dirty {
+            None => match Arc::get_mut(&mut self.base) {
+                Some(base) => base.remove(key)?,
+                // A snapshot still shares the base: copy it only for a
+                // key that is really there.
+                None => {
+                    self.base.get(key)?;
+                    Arc::make_mut(&mut self.base).remove(key)?
+                }
+            },
+            Some(dirty) => match dirty.get_mut(key) {
+                // Tombstone the overlay entry in place; an existing
+                // tombstone means the key is already gone.
+                Some(slot) => {
+                    let old = slot.take()?;
+                    self.overlay_bytes -= old.approx_size();
+                    old
+                }
+                None => {
+                    let old = self.base.get(key).cloned()?;
+                    dirty.insert(key.clone(), None);
+                    self.overlay_bytes += key_size;
+                    old
+                }
+            },
+        };
         self.visible_len -= 1;
         self.visible_bytes -= key_size + prev.approx_size();
         self.mark_chunk(key);
-        match &mut self.dirty {
-            Some(dirty) => {
-                let old_slot = dirty.insert(key.clone(), None);
-                self.overlay_bytes += key_size;
-                if let Some(slot) = old_slot {
-                    self.overlay_bytes -= key_size + slot.as_ref().map_or(0, Value::approx_size);
-                }
-            }
-            None => {
-                Arc::make_mut(&mut self.base).remove(key);
-            }
-        }
         Some(prev)
     }
 
@@ -577,8 +600,33 @@ mod tests {
         t.put(k(100), Value::str("fresh"));
         t.remove(&k(100));
         assert_eq!(t.dirty_bytes(), recomputed_dirty_bytes(&t));
+        assert_eq!(t.remove(&k(100)), None, "already tombstoned");
+        assert_eq!(t.dirty_bytes(), recomputed_dirty_bytes(&t));
+        assert_eq!(t.approx_bytes(), recomputed_visible_bytes(&t));
         t.consolidate().unwrap();
         assert_eq!(t.dirty_bytes(), 0);
+        assert_eq!(t.approx_bytes(), recomputed_visible_bytes(&t));
+    }
+
+    fn recomputed_visible_bytes(t: &KeyedTable) -> usize {
+        let mut sum = 0;
+        t.for_each(|k, v| sum += k.approx_size() + v.approx_size());
+        sum
+    }
+
+    #[test]
+    fn base_writes_leave_a_shared_copy_intact() {
+        let mut t = KeyedTable::new();
+        t.put(k(1), Value::Int(1));
+        t.put(k(2), Value::Int(2));
+        let copy = t.clone();
+        assert_eq!(t.remove(&k(9)), None);
+        assert_eq!(t.remove(&k(1)), Some(Value::Int(1)));
+        assert_eq!(t.put(k(2), Value::Int(3)), Some(Value::Int(2)));
+        assert_eq!(copy.get(&k(1)), Some(Value::Int(1)));
+        assert_eq!(copy.get(&k(2)), Some(Value::Int(2)));
+        assert_eq!((t.len(), copy.len()), (1, 2));
+        assert_eq!(t.approx_bytes(), recomputed_visible_bytes(&t));
     }
 
     #[test]
